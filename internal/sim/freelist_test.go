@@ -53,7 +53,7 @@ func TestEventRecycledAfterCancel(t *testing.T) {
 }
 
 // TestFreeListKeepsOrderingUnderChurn hammers mixed schedule/cancel/fire
-// churn and verifies the specialized heap still fires strictly in (time,
+// churn and verifies the specialized queue still fires strictly in (time,
 // scheduling-order) sequence with recycled structs in play.
 func TestFreeListKeepsOrderingUnderChurn(t *testing.T) {
 	e := NewEngine(WithSeed(99))

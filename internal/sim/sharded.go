@@ -30,7 +30,7 @@ import (
 // Lookahead, the minimum cross-shard interaction delay. Every cross-shard
 // event therefore lands at or after the next barrier, so shards never need to
 // roll back. Between windows the coordinator — single-threaded, workers
-// parked — drains the cross-shard queues into the destination heaps, runs
+// parked — drains the cross-shard queues into the destination queues, runs
 // barrier hooks, and fires global events. Empty stretches of virtual time are
 // skipped by starting each window at the earliest pending event, so a shard
 // blocked at a barrier never spins: it either runs events or the whole world
@@ -43,7 +43,7 @@ type ShardedEngine struct {
 	// queues[src][dst] carries events crossing from shard src to shard dst.
 	// During a window only shard src's worker appends to its row; the
 	// coordinator drains every queue at the barrier in (dst, src, FIFO)
-	// order, so destination-heap sequence numbers — and with them the whole
+	// order, so destination-queue sequence numbers — and with them the whole
 	// trajectory — are worker-count independent.
 	queues [][]injectQueue
 
@@ -257,7 +257,7 @@ func (s *ShardedEngine) RunUntil(deadline time.Duration) {
 		panic("sim: sharded lookahead must be positive — a zero-latency cross-shard topology would deadlock the barrier")
 	}
 	// Entry barrier: construction-time injections and control scheduled
-	// between runs become heap events before any window is sized.
+	// between runs become engine events before any window is sized.
 	s.barrier()
 	for {
 		t, ok := s.nextTime()
@@ -273,7 +273,7 @@ func (s *ShardedEngine) RunUntil(deadline time.Duration) {
 			// Final pass: deadline events fire inclusively, matching
 			// Engine.RunUntil. Cross-shard sends they emit land strictly
 			// after the deadline (delay ≥ lookahead > 0) and stay queued in
-			// the destination heaps for a later run.
+			// the destination queues for a later run.
 			s.runRound(deadline, true)
 			s.barrier()
 			continue
@@ -300,7 +300,7 @@ func (s *ShardedEngine) RunUntil(deadline time.Duration) {
 	}
 }
 
-// nextTime returns the earliest pending virtual time across every shard heap
+// nextTime returns the earliest pending virtual time across every shard queue
 // and the global queue. Cross-shard queues are empty here: barriers drain
 // them before any window is sized.
 func (s *ShardedEngine) nextTime() (time.Duration, bool) {
@@ -356,7 +356,7 @@ func (s *ShardedEngine) popGlobalDue(now time.Duration) (globalEvent, bool) {
 }
 
 // barrier runs one full coordinator round: drain, hooks, due globals, and a
-// final drain so work the hooks or globals injected is in the heaps before
+// final drain so work the hooks or globals injected is in the queues before
 // the next window is sized.
 func (s *ShardedEngine) barrier() {
 	s.barrier2()
@@ -390,7 +390,7 @@ func (s *ShardedEngine) barrier2() (drained, globalsRun int) {
 	return drained, globalsRun
 }
 
-// drainAll moves every queued cross-shard event into its destination heap.
+// drainAll moves every queued cross-shard event into its destination queue.
 // Fixed (dst, src, FIFO) order makes the destination's sequence stamps —
 // and so its tie-breaking among same-instant events — independent of how
 // many workers produced the queues.

@@ -9,6 +9,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"time"
 
@@ -20,15 +21,14 @@ import (
 // The zero value is not usable; create engines with NewEngine.
 type Engine struct {
 	now time.Duration
-	// queue is a specialized binary min-heap ordered by (at, seq). It is
-	// inlined here rather than built on container/heap: Schedule/Step are
-	// the inner loop of every simulation (millions of packet and timer
-	// events per run), and the interface-based heap costs an allocation
-	// plus two indirect calls per operation.
-	queue []*Event
-	// free holds expired Event structs for reuse, so steady-state
-	// Schedule/Step cycles allocate nothing.
-	free    []*Event
+	// q holds the pending events in (at, seq) order; see radixQueue.
+	// Schedule/Step are the inner loop of every simulation (millions of
+	// packet and timer events per run), so the queue is specialized to
+	// *Event and allocates nothing.
+	q radixQueue
+	// free is a LIFO list of expired Event structs, linked through next,
+	// for reuse, so steady-state Schedule/Step cycles allocate nothing.
+	free    *Event
 	seq     uint64
 	rng     *rand.Rand
 	running bool
@@ -147,12 +147,17 @@ func (e *Engine) Seq() uint64 { return e.seq }
 // pending event. Holders that outlive their event must drop the handle
 // when it fires (as Timer does, by clearing its field inside the
 // callback) and must not Cancel or inspect it afterwards.
+//
+// While queued, an Event is linked into one of the queue's bucket lists
+// through next and prev, and bucket names that list; once expired, next
+// links it into the engine's free list. The links are the engine's alone.
 type Event struct {
-	at      time.Duration
-	seq     uint64
-	fn      func()
-	index   int // position in the heap, -1 once removed
-	expired bool
+	at         time.Duration
+	seq        uint64
+	fn         func()
+	next, prev *Event
+	bucket     int32
+	expired    bool
 }
 
 // Cancelled reports whether the event was cancelled or has already fired.
@@ -162,9 +167,10 @@ func (ev *Event) Cancelled() bool { return ev == nil || ev.expired }
 func (ev *Event) At() time.Duration { return ev.at }
 
 // Schedule runs fn after delay of virtual time. A negative delay is treated
-// as zero. Events scheduled for the same instant fire in scheduling order.
-// The returned handle is valid until the event fires or is cancelled; see
-// the Event lifetime rules.
+// as zero, and a delay past the end of time saturates there. Events
+// scheduled for the same instant fire in scheduling order. The returned
+// handle is valid until the event fires or is cancelled; see the Event
+// lifetime rules.
 func (e *Engine) Schedule(delay time.Duration, fn func()) *Event {
 	if fn == nil {
 		panic("sim: Schedule called with nil function")
@@ -172,23 +178,25 @@ func (e *Engine) Schedule(delay time.Duration, fn func()) *Event {
 	if delay < 0 {
 		delay = 0
 	}
-	var ev *Event
-	if n := len(e.free); n > 0 {
-		ev = e.free[n-1]
-		e.free[n-1] = nil
-		e.free = e.free[:n-1]
+	ev := e.free
+	if ev != nil {
+		e.free = ev.next
 		ev.expired = false
 		e.statsFreeHits.Inc()
 	} else {
 		ev = &Event{}
 	}
-	ev.at = e.now + delay
+	at := e.now + delay
+	if at < e.now {
+		at = math.MaxInt64
+	}
+	ev.at = at
 	ev.seq = e.seq
 	ev.fn = fn
 	e.seq++
-	e.push(ev)
+	e.q.push(ev)
 	e.statsScheduled.Inc()
-	e.statsHeapDepth.SetMax(int64(len(e.queue)))
+	e.statsHeapDepth.SetMax(int64(e.q.n))
 	return ev
 }
 
@@ -201,10 +209,10 @@ func (e *Engine) ScheduleAt(t time.Duration, fn func()) *Event {
 // Cancel removes a pending event and recycles it. Cancelling a nil, fired,
 // or already cancelled event is a no-op.
 func (e *Engine) Cancel(ev *Event) {
-	if ev == nil || ev.expired || ev.index < 0 {
+	if ev == nil || ev.expired {
 		return
 	}
-	e.remove(ev.index)
+	e.q.remove(ev)
 	ev.expired = true
 	e.statsCancelled.Inc()
 	e.release(ev)
@@ -213,10 +221,10 @@ func (e *Engine) Cancel(ev *Event) {
 // Step fires the next pending event and advances the clock to it.
 // It reports whether an event was fired.
 func (e *Engine) Step() bool {
-	if len(e.queue) == 0 {
+	ev := e.q.popUntil(math.MaxInt64)
+	if ev == nil {
 		return false
 	}
-	ev := e.pop()
 	ev.expired = true
 	e.now = ev.at
 	fn := ev.fn
@@ -231,13 +239,13 @@ func (e *Engine) Step() bool {
 
 // Run fires events until the queue is empty or Stop is called.
 func (e *Engine) Run() {
-	e.run(func() bool { return true })
+	e.run(math.MaxInt64, true)
 }
 
 // RunUntil fires events with timestamps at or before deadline, then sets the
 // clock to deadline. Events scheduled after deadline remain queued.
 func (e *Engine) RunUntil(deadline time.Duration) {
-	e.run(func() bool { return e.queue[0].at <= deadline })
+	e.run(deadline, true)
 	if !e.stopped && e.now < deadline {
 		e.now = deadline
 	}
@@ -249,7 +257,7 @@ func (e *Engine) RunUntil(deadline time.Duration) {
 // belongs to the next window, so two shards agreeing on a boundary never
 // disagree about which side of it an event fired on.
 func (e *Engine) RunBefore(deadline time.Duration) {
-	e.run(func() bool { return e.queue[0].at < deadline })
+	e.run(deadline, false)
 	if !e.stopped && e.now < deadline {
 		e.now = deadline
 	}
@@ -260,35 +268,35 @@ func (e *Engine) RunFor(d time.Duration) { e.RunUntil(e.now + d) }
 
 // PeekNext returns the timestamp of the earliest pending event. ok is false
 // when the queue is empty.
-func (e *Engine) PeekNext() (at time.Duration, ok bool) {
-	if len(e.queue) == 0 {
-		return 0, false
-	}
-	return e.queue[0].at, true
-}
+func (e *Engine) PeekNext() (at time.Duration, ok bool) { return e.q.peek() }
 
-func (e *Engine) run(cond func() bool) {
+// run fires events due at or before deadline (strictly before it unless
+// inclusive) until none remain or Stop is called.
+func (e *Engine) run(deadline time.Duration, inclusive bool) {
 	if e.running {
 		panic("sim: Run called re-entrantly from inside an event")
 	}
 	e.running = true
 	e.stopped = false
 	defer func() { e.running = false }()
-	for len(e.queue) > 0 && !e.stopped && cond() {
-		if e.afterStep != nil {
-			e.Step()
-			continue
+	limit := deadline
+	if !inclusive && limit > math.MinInt64 {
+		limit-- // times are integers: before deadline is at or before deadline-1
+	}
+	for !e.stopped {
+		ev := e.q.popUntil(limit)
+		if ev == nil {
+			return
 		}
-		// Disarmed fast path: the step body is inlined here without the
-		// afterStep dispatch, so runs without -check/-digest pay nothing
-		// for the hook — not even the Step call.
-		ev := e.pop()
 		ev.expired = true
 		e.now = ev.at
 		fn := ev.fn
 		e.statsFired.Inc()
 		fn()
 		e.release(ev)
+		if e.afterStep != nil {
+			e.afterStep()
+		}
 	}
 }
 
@@ -297,130 +305,27 @@ func (e *Engine) run(cond func() bool) {
 func (e *Engine) Stop() { e.stopped = true }
 
 // Pending returns the number of queued events.
-func (e *Engine) Pending() int { return len(e.queue) }
+func (e *Engine) Pending() int { return e.q.n }
 
 // String describes the engine state, for debugging.
 func (e *Engine) String() string {
-	return fmt.Sprintf("sim.Engine{now: %v, pending: %d}", e.now, len(e.queue))
+	return fmt.Sprintf("sim.Engine{now: %v, pending: %d}", e.now, e.q.n)
 }
 
-// CheckInvariants verifies the scheduler's internal invariants — heap
-// ordering, index coherence, and that no pending event predates the clock —
-// reporting each failure as report(invariant, detail). The engine validates
-// itself so the invariant checker (internal/check) needs no access to the
-// unexported heap; sim has no dependency on that package.
+// CheckInvariants verifies the scheduler's internal invariants — bucket
+// list coherence, bucket numbers and bounds, the non-empty mask, seq order
+// at the current instant, the live count, and that no pending event
+// predates the clock — reporting each failure as report(invariant, detail). The engine
+// validates itself so the invariant checker (internal/check) needs no access
+// to the unexported queue; sim has no dependency on that package.
 func (e *Engine) CheckInvariants(report func(invariant, detail string)) {
-	for i, ev := range e.queue {
-		if ev.index != i {
-			report("sim.heap_index", fmt.Sprintf("queue[%d].index = %d", i, ev.index))
-		}
-		if ev.expired {
-			report("sim.heap_expired", fmt.Sprintf("queue[%d] (at=%v seq=%d) already expired", i, ev.at, ev.seq))
-		}
-		if ev.at < e.now {
-			report("sim.event_in_past", fmt.Sprintf("queue[%d] at=%v behind clock %v", i, ev.at, e.now))
-		}
-		if i > 0 {
-			if parent := e.queue[(i-1)/2]; eventLess(ev, parent) {
-				report("sim.heap_order", fmt.Sprintf("queue[%d] (at=%v seq=%d) sorts before its parent (at=%v seq=%d)",
-					i, ev.at, ev.seq, parent.at, parent.seq))
-			}
-		}
-	}
+	e.q.check(e.now, report)
 }
 
-// release clears an expired event and parks it for reuse. The free list is
-// bounded by the peak number of simultaneously pending events.
+// release clears an expired event and parks it for reuse. The free list
+// holds at most the peak number of simultaneously pending events.
 func (e *Engine) release(ev *Event) {
 	ev.fn = nil
-	ev.index = -1
-	e.free = append(e.free, ev)
-}
-
-// eventLess orders the heap by (at, seq): earliest deadline first, ties
-// broken by scheduling order.
-func eventLess(a, b *Event) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.seq < b.seq
-}
-
-func (e *Engine) push(ev *Event) {
-	e.queue = append(e.queue, ev)
-	e.siftUp(len(e.queue) - 1)
-}
-
-func (e *Engine) pop() *Event {
-	q := e.queue
-	n := len(q)
-	ev := q[0]
-	last := q[n-1]
-	q[n-1] = nil
-	e.queue = q[:n-1]
-	if n > 1 {
-		q[0] = last
-		last.index = 0
-		e.siftDown(0)
-	}
-	ev.index = -1
-	return ev
-}
-
-// remove deletes the element at heap position i.
-func (e *Engine) remove(i int) {
-	q := e.queue
-	n := len(q)
-	last := q[n-1]
-	q[n-1] = nil
-	e.queue = q[:n-1]
-	if i == n-1 {
-		return
-	}
-	q[i] = last
-	last.index = i
-	e.siftDown(i)
-	if last.index == i {
-		e.siftUp(i)
-	}
-}
-
-func (e *Engine) siftUp(i int) {
-	q := e.queue
-	ev := q[i]
-	for i > 0 {
-		parent := (i - 1) / 2
-		p := q[parent]
-		if !eventLess(ev, p) {
-			break
-		}
-		q[i] = p
-		p.index = i
-		i = parent
-	}
-	q[i] = ev
-	ev.index = i
-}
-
-func (e *Engine) siftDown(i int) {
-	q := e.queue
-	n := len(q)
-	ev := q[i]
-	for {
-		child := 2*i + 1
-		if child >= n {
-			break
-		}
-		if r := child + 1; r < n && eventLess(q[r], q[child]) {
-			child = r
-		}
-		if !eventLess(q[child], ev) {
-			break
-		}
-		q[i] = q[child]
-		q[i].index = i
-		i = child
-	}
-	q[i] = ev
-	ev.index = i
+	ev.next = e.free
+	e.free = ev
 }
