@@ -1,6 +1,9 @@
 package bt
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Bitfield tracks piece possession. The zero value is unusable; create
 // bitfields with NewBitfield.
@@ -81,12 +84,53 @@ func (b *Bitfield) SetAll() {
 // behind "playable percentage": media plays only as far as in-order data
 // extends.
 func (b *Bitfield) PrefixLen() int {
-	for i := 0; i < b.n; i++ {
-		if !b.Has(i) {
-			return i
-		}
+	if i := b.nextClear(0); i >= 0 {
+		return i
 	}
 	return b.n
+}
+
+// word returns the w-th 64-bit word of the map; a word past the end reads
+// as zero, so bitfields of different lengths combine word by word.
+func (b *Bitfield) word(w int) uint64 {
+	if w < len(b.bits) {
+		return b.bits[w]
+	}
+	return 0
+}
+
+// nextSet returns the lowest set index at or after i ≥ 0, or -1.
+func (b *Bitfield) nextSet(i int) int { return b.next(i, 0) }
+
+// nextClear returns the lowest clear index in [i, Len()), or -1.
+func (b *Bitfield) nextClear(i int) int { return b.next(i, ^uint64(0)) }
+
+// next returns the lowest index in [i, Len()) whose bit differs from flip's,
+// or -1, scanning a word at a time.
+func (b *Bitfield) next(i int, flip uint64) int {
+	for w := i >> 6; w < len(b.bits); w++ {
+		m := b.bits[w] ^ flip
+		if w == i>>6 {
+			m &= ^uint64(0) << uint(i&63)
+		}
+		if m != 0 {
+			if j := w<<6 + bits.TrailingZeros64(m); j < b.n {
+				return j
+			}
+			return -1
+		}
+	}
+	return -1
+}
+
+// anyAndNot reports whether some piece is set in b and clear in o.
+func (b *Bitfield) anyAndNot(o *Bitfield) bool {
+	for w, x := range b.bits {
+		if x&^o.word(w) != 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // String renders the bitfield compactly for debugging.

@@ -100,12 +100,19 @@ func TestBitfieldSetPanicsOutOfRange(t *testing.T) {
 }
 
 // Property: a bitfield agrees with a reference map implementation under an
-// arbitrary operation sequence.
+// arbitrary operation sequence, through both the per-bit and the word-level
+// accessors.
 func TestPropertyBitfieldMatchesReference(t *testing.T) {
-	prop := func(ops []uint16) bool {
+	prop := func(ops []uint16, otherOps []uint16, from uint8) bool {
 		const n = 200
 		b := NewBitfield(n)
 		ref := make(map[int]bool)
+		if from&1 != 0 { // dense maps too: start full
+			b.SetAll()
+			for i := 0; i < n; i++ {
+				ref[i] = true
+			}
+		}
 		for _, op := range ops {
 			i := int(op % n)
 			if op&0x8000 != 0 {
@@ -123,6 +130,49 @@ func TestPropertyBitfieldMatchesReference(t *testing.T) {
 			if b.Has(i) != ref[i] {
 				return false
 			}
+		}
+		// word: bit j of word w is piece 64w+j; past the end reads zero.
+		for w := 0; w < (n+63)/64+2; w++ {
+			var want uint64
+			for j := 0; j < 64; j++ {
+				if ref[w*64+j] {
+					want |= 1 << uint(j)
+				}
+			}
+			if b.word(w) != want {
+				return false
+			}
+		}
+		// nextSet / nextClear: the first set / clear index at or after i.
+		start := int(from) % (n + 10)
+		wantSet, wantClear := -1, -1
+		for i := start; i < n; i++ {
+			if ref[i] && wantSet < 0 {
+				wantSet = i
+			}
+			if !ref[i] && wantClear < 0 {
+				wantClear = i
+			}
+		}
+		if b.nextSet(start) != wantSet || b.nextClear(start) != wantClear {
+			return false
+		}
+		// anyAndNot against a map of another length: past its end the
+		// other map reads as clear.
+		o := NewBitfield(int(from) % n)
+		for _, op := range otherOps {
+			if i := int(op) % (o.Len() + 1); i < o.Len() {
+				o.Set(i)
+			}
+		}
+		wantAny := false
+		for i := range ref {
+			if !o.Has(i) {
+				wantAny = true
+			}
+		}
+		if b.anyAndNot(o) != wantAny {
+			return false
 		}
 		// PrefixLen is the first unset index.
 		want := n

@@ -42,15 +42,23 @@ func (c *Client) CheckState(report func(invariant, detail string)) {
 			report("bt.pieces.have",
 				fmt.Sprintf("%s: piece %d both complete and in-flight", id, pp.piece))
 		}
+		// The asked map is freeBlock's view of c.requested; a stale bit
+		// either hides a free block or lets one be requested twice.
+		for b := 0; b < pp.asked.Len(); b++ {
+			requested := len(c.requested.Val(blockRef{pp.piece, b})) > 0
+			if pp.asked.Has(b) != requested {
+				report("bt.pieces.asked",
+					fmt.Sprintf("%s: piece %d block %d asked=%v, requested=%v",
+						id, pp.piece, b, pp.asked.Has(b), requested))
+			}
+		}
 	}
 
 	// bytesHave feeds the download-time figures; recompute it from the have
 	// bitfield.
 	var bytes int64
-	for i := 0; i < c.torrent.NumPieces(); i++ {
-		if c.have.Has(i) {
-			bytes += int64(c.torrent.PieceSize(i))
-		}
+	for i := c.have.nextSet(0); i >= 0; i = c.have.nextSet(i + 1) {
+		bytes += int64(c.torrent.PieceSize(i))
 	}
 	if bytes != c.bytesHave {
 		report("bt.bytes_have",

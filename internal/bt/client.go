@@ -2,6 +2,7 @@ package bt
 
 import (
 	"fmt"
+	"math/bits"
 	"time"
 
 	"github.com/wp2p/wp2p/internal/metrics"
@@ -91,7 +92,11 @@ func (c *Config) withDefaults() Config {
 // pieceProgress tracks block arrival for one in-flight piece.
 type pieceProgress struct {
 	piece    int
-	received *Bitfield // block granularity
+	received Bitfield // block granularity
+	// asked has block b set exactly when Client.requested holds at least
+	// one requester for {piece, b}, so a free block is one clear in
+	// received | asked. It shares one backing slice with received.
+	asked Bitfield
 	// tainted is set if any block came from a peer that serves corrupt
 	// data; the piece will fail verification when complete.
 	tainted bool
@@ -226,10 +231,8 @@ func NewClient(cfg Config) *Client {
 		c.completedAt = 0
 	case c.cfg.InitialHave != nil:
 		c.have = c.cfg.InitialHave.Clone()
-		for i := 0; i < n; i++ {
-			if c.have.Has(i) {
-				c.bytesHave += int64(c.torrent.PieceSize(i))
-			}
+		for i := c.have.nextSet(0); i >= 0; i = c.have.nextSet(i + 1) {
+			c.bytesHave += int64(c.torrent.PieceSize(i))
 		}
 	}
 	c.engine.Register(c)
@@ -550,13 +553,16 @@ func (c *Client) availAdd(piece, delta int) {
 }
 
 // availReplace swaps a peer's contribution from old to new (either may be
-// nil).
+// nil). Both cover exactly the torrent's pieces (handleBitfield rejects any
+// other length), and only their set bits are visited.
 func (c *Client) availReplace(old, new_ *Bitfield) {
-	for i := range c.avail {
-		if old != nil && old.Has(i) {
+	if old != nil {
+		for i := old.nextSet(0); i >= 0; i = old.nextSet(i + 1) {
 			c.avail[i]--
 		}
-		if new_ != nil && new_.Has(i) {
+	}
+	if new_ != nil {
+		for i := new_.nextSet(0); i >= 0; i = new_.nextSet(i + 1) {
 			c.avail[i]++
 		}
 	}
@@ -573,29 +579,31 @@ func (c *Client) fillRequests(p *peerConn) {
 		return
 	}
 	for p.requestsOut.Len() < c.cfg.PipelineDepth {
-		piece, block := c.pickBlock(p)
-		if piece < 0 {
+		prog, block := c.pickBlock(p)
+		if prog == nil {
 			// Endgame: every missing block is already in flight somewhere.
 			// Racing the stragglers from this peer too avoids the classic
 			// last-blocks stall behind one slow or dying connection.
-			piece, block = c.pickEndgameBlock(p)
-			if piece < 0 {
+			prog, block = c.pickEndgameBlock(p)
+			if prog == nil {
 				return
 			}
 		}
-		ref := blockRef{piece, block}
+		ref := blockRef{prog.piece, block}
 		c.requested.Put(ref, append(c.requested.Val(ref), p))
-		p.request(piece, block)
+		prog.asked.Set(block)
+		p.request(prog.piece, block)
 	}
 }
 
 // pickEndgameBlock chooses an in-flight block this peer could also serve,
 // preferring the least-contested one.
-func (c *Client) pickEndgameBlock(p *peerConn) (piece, block int) {
+func (c *Client) pickEndgameBlock(p *peerConn) (*pieceProgress, int) {
 	if c.have.Complete() {
-		return -1, -1
+		return nil, -1
 	}
-	best := blockRef{-1, -1}
+	var best *pieceProgress
+	bestBlock := -1
 	bestOwners := endgameMaxDup
 	for _, prog := range c.active {
 		if !p.remoteHas.Has(prog.piece) {
@@ -604,25 +612,23 @@ func (c *Client) pickEndgameBlock(p *peerConn) (piece, block int) {
 		if prog.exclusive != "" && prog.exclusive != p.id {
 			continue // attribution mode: no endgame racing
 		}
-		for b := 0; b < prog.received.Len(); b++ {
-			if prog.received.Has(b) {
-				continue
-			}
+		for b := prog.received.nextClear(0); b >= 0; b = prog.received.nextClear(b + 1) {
 			ref := blockRef{prog.piece, b}
 			if p.requestsOut.Has(ref) {
 				continue
 			}
 			if n := len(c.requested.Val(ref)); n < bestOwners {
-				best, bestOwners = ref, n
+				best, bestBlock, bestOwners = prog, b, n
 			}
 		}
 	}
-	return best.piece, best.block
+	return best, bestBlock
 }
 
 // pickBlock chooses the next block to fetch from p: first unfinished active
-// pieces (strict priority), then a fresh piece via the Picker.
-func (c *Client) pickBlock(p *peerConn) (piece, block int) {
+// pieces (strict priority), then a fresh piece via the Picker. It returns a
+// nil progress when nothing is left to pick.
+func (c *Client) pickBlock(p *peerConn) (*pieceProgress, int) {
 	for _, prog := range c.active {
 		if !p.remoteHas.Has(prog.piece) {
 			continue
@@ -630,8 +636,8 @@ func (c *Client) pickBlock(p *peerConn) (piece, block int) {
 		if prog.exclusive != "" && prog.exclusive != p.id {
 			continue // attribution mode: single source only
 		}
-		if b := c.freeBlock(prog); b >= 0 {
-			return prog.piece, b
+		if b := freeBlock(prog); b >= 0 {
+			return prog, b
 		}
 	}
 	ctx := &PickContext{
@@ -644,31 +650,60 @@ func (c *Client) pickBlock(p *peerConn) (piece, block int) {
 	}
 	pc := c.picker.PickPiece(ctx)
 	if pc < 0 {
-		return -1, -1
+		return nil, -1
 	}
-	prog := &pieceProgress{
-		piece:        pc,
-		received:     NewBitfield(c.torrent.NumBlocks(pc)),
-		contributors: make(map[PeerID]bool),
-	}
+	prog := c.newProgress(pc)
 	if c.failedOnce[pc] {
 		prog.exclusive = p.id
 	}
 	c.active = append(c.active, prog)
 	c.pending.Set(pc)
-	return pc, 0
+	return prog, 0
 }
 
-// freeBlock returns an unreceived, unrequested block of prog, or -1.
-func (c *Client) freeBlock(prog *pieceProgress) int {
-	for b := 0; b < prog.received.Len(); b++ {
-		if prog.received.Has(b) {
-			continue
+// newProgress starts tracking piece pc. received and asked share one
+// allocation. asked is seeded from c.requested: requests sent before a
+// failPiece can outlive the progress they were made for.
+func (c *Client) newProgress(pc int) *pieceProgress {
+	nb := c.torrent.NumBlocks(pc)
+	nw := (nb + 63) / 64
+	words := make([]uint64, 2*nw)
+	prog := &pieceProgress{
+		piece:        pc,
+		received:     Bitfield{bits: words[:nw:nw], n: nb},
+		asked:        Bitfield{bits: words[nw:], n: nb},
+		contributors: make(map[PeerID]bool),
+	}
+	if c.requested.Len() > 0 {
+		for b := 0; b < nb; b++ {
+			if len(c.requested.Val(blockRef{pc, b})) > 0 {
+				prog.asked.Set(b)
+			}
 		}
-		if len(c.requested.Val(blockRef{prog.piece, b})) > 0 {
-			continue
+	}
+	return prog
+}
+
+// activeProgress returns the progress of an in-flight piece, or nil.
+func (c *Client) activeProgress(piece int) *pieceProgress {
+	for _, prog := range c.active {
+		if prog.piece == piece {
+			return prog
 		}
-		return b
+	}
+	return nil
+}
+
+// freeBlock returns an unreceived, unrequested block of prog, or -1: the
+// lowest index clear in received | asked.
+func freeBlock(prog *pieceProgress) int {
+	for w, r := range prog.received.bits {
+		if m := ^(r | prog.asked.bits[w]); m != 0 {
+			if b := w<<6 + bits.TrailingZeros64(m); b < prog.received.n {
+				return b
+			}
+			return -1
+		}
 	}
 	return -1
 }
@@ -705,6 +740,9 @@ func (c *Client) dropRequester(ref blockRef, p *peerConn) {
 	}
 	if len(owners) == 0 {
 		c.requested.Delete(ref)
+		if prog := c.activeProgress(ref.piece); prog != nil {
+			prog.asked.Clear(ref.block)
+		}
 	} else {
 		c.requested.Put(ref, owners)
 	}
@@ -725,12 +763,9 @@ func (c *Client) onBlock(p *peerConn, piece, block, length int, corrupt bool) {
 	c.requested.Delete(ref)
 	c.downloaded += int64(length)
 	c.downTotal.Add(c.engine.Now(), int64(length))
-	var prog *pieceProgress
-	for _, pr := range c.active {
-		if pr.piece == piece {
-			prog = pr
-			break
-		}
+	prog := c.activeProgress(piece)
+	if prog != nil {
+		prog.asked.Clear(block)
 	}
 	if prog == nil || c.have.Has(piece) {
 		c.fillRequests(p)

@@ -181,8 +181,12 @@ func (p *peerConn) handleHandshake(m msgHandshake) {
 	p.client.peerReady(p)
 }
 
+// handleBitfield replaces the remote piece map. A missing map or one whose
+// length is not the torrent's piece count drops the connection, as BEP 3
+// prescribes: an oversized map would let the picker choose a piece the
+// torrent does not have.
 func (p *peerConn) handleBitfield(m msgBitfield) {
-	if !p.gotHandshake {
+	if !p.gotHandshake || m.Bits == nil || m.Bits.Len() != p.client.torrent.NumPieces() {
 		p.close()
 		return
 	}
@@ -273,13 +277,7 @@ func (p *peerConn) handlePiece(m msgPiece) {
 
 // updateInterest recomputes and, on transitions, announces our interest.
 func (p *peerConn) updateInterest() {
-	want := false
-	for i := 0; i < p.remoteHas.Len(); i++ {
-		if p.remoteHas.Has(i) && !p.client.have.Has(i) {
-			want = true
-			break
-		}
-	}
+	want := p.remoteHas.anyAndNot(p.client.have)
 	if want != p.amInterested {
 		p.amInterested = want
 		if want {

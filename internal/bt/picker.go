@@ -1,6 +1,9 @@
 package bt
 
-import "math/rand"
+import (
+	"math/bits"
+	"math/rand"
+)
 
 // PickContext carries the state a piece picker decides from.
 type PickContext struct {
@@ -18,9 +21,12 @@ type PickContext struct {
 	Rand *rand.Rand
 }
 
-// eligible reports whether piece i can be requested from this peer.
-func (ctx *PickContext) eligible(i int) bool {
-	return ctx.PeerHas.Has(i) && !ctx.Have.Has(i) && !ctx.Pending.Has(i)
+// eligibleWord returns word w of PeerHas &^ Have &^ Pending: bit j is set
+// when piece 64w+j can be requested from this peer. Pickers walk these
+// words in ascending order, lowest set bit first, so every Rand draw
+// happens in piece order.
+func (ctx *PickContext) eligibleWord(w int) uint64 {
+	return ctx.PeerHas.bits[w] &^ ctx.Have.word(w) &^ ctx.Pending.word(w)
 }
 
 // Picker selects the next piece to fetch from a peer, or -1 if nothing is
@@ -40,22 +46,22 @@ func (RarestFirst) PickPiece(ctx *PickContext) int {
 	best := -1
 	bestAvail := int(^uint(0) >> 1)
 	ties := 0
-	for i := 0; i < ctx.PeerHas.Len(); i++ {
-		if !ctx.eligible(i) {
-			continue
-		}
-		a := 0
-		if i < len(ctx.Avail) {
-			a = ctx.Avail[i]
-		}
-		switch {
-		case a < bestAvail:
-			best, bestAvail, ties = i, a, 1
-		case a == bestAvail:
-			// Reservoir-sample among ties for a uniform choice.
-			ties++
-			if ctx.Rand != nil && ctx.Rand.Intn(ties) == 0 {
-				best = i
+	for w := range ctx.PeerHas.bits {
+		for m := ctx.eligibleWord(w); m != 0; m &= m - 1 {
+			i := w<<6 + bits.TrailingZeros64(m)
+			a := 0
+			if i < len(ctx.Avail) {
+				a = ctx.Avail[i]
+			}
+			switch {
+			case a < bestAvail:
+				best, bestAvail, ties = i, a, 1
+			case a == bestAvail:
+				// Reservoir-sample among ties for a uniform choice.
+				ties++
+				if ctx.Rand != nil && ctx.Rand.Intn(ties) == 0 {
+					best = i
+				}
 			}
 		}
 	}
@@ -68,9 +74,9 @@ type Sequential struct{}
 
 // PickPiece implements Picker.
 func (Sequential) PickPiece(ctx *PickContext) int {
-	for i := 0; i < ctx.PeerHas.Len(); i++ {
-		if ctx.eligible(i) {
-			return i
+	for w := range ctx.PeerHas.bits {
+		if m := ctx.eligibleWord(w); m != 0 {
+			return w<<6 + bits.TrailingZeros64(m)
 		}
 	}
 	return -1
@@ -83,13 +89,12 @@ type Random struct{}
 func (Random) PickPiece(ctx *PickContext) int {
 	chosen := -1
 	seen := 0
-	for i := 0; i < ctx.PeerHas.Len(); i++ {
-		if !ctx.eligible(i) {
-			continue
-		}
-		seen++
-		if ctx.Rand == nil || ctx.Rand.Intn(seen) == 0 {
-			chosen = i
+	for w := range ctx.PeerHas.bits {
+		for m := ctx.eligibleWord(w); m != 0; m &= m - 1 {
+			seen++
+			if ctx.Rand == nil || ctx.Rand.Intn(seen) == 0 {
+				chosen = w<<6 + bits.TrailingZeros64(m)
+			}
 		}
 	}
 	return chosen

@@ -89,6 +89,90 @@ func TestMFCustomPr(t *testing.T) {
 	}
 }
 
+// refMF is a bit-at-a-time model of MobilityFetch, written against the
+// exported Bitfield API: one Float64 draw chooses the strategy, then
+// rarest-first reservoir-samples ties in piece order.
+func refMF(ctx *bt.PickContext) int {
+	eligible := func(i int) bool {
+		return ctx.PeerHas.Has(i) && !ctx.Have.Has(i) && !ctx.Pending.Has(i)
+	}
+	if ctx.Rand.Float64() >= ctx.Progress {
+		for i := 0; i < ctx.PeerHas.Len(); i++ {
+			if eligible(i) {
+				return i
+			}
+		}
+		return -1
+	}
+	best, bestAvail, ties := -1, int(^uint(0)>>1), 0
+	for i := 0; i < ctx.PeerHas.Len(); i++ {
+		if !eligible(i) {
+			continue
+		}
+		a := 0
+		if i < len(ctx.Avail) {
+			a = ctx.Avail[i]
+		}
+		switch {
+		case a < bestAvail:
+			best, bestAvail, ties = i, a, 1
+		case a == bestAvail:
+			ties++
+			if ctx.Rand.Intn(ties) == 0 {
+				best = i
+			}
+		}
+	}
+	return best
+}
+
+// TestMFMatchesReference drives MobilityFetch and refMF from two sources
+// with the same seed and requires the same pick and the same number of
+// draws, over random piece maps including a Have shorter than PeerHas.
+func TestMFMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	random := func(n int, density float64) *bt.Bitfield {
+		b := bt.NewBitfield(n)
+		for i := 0; i < n; i++ {
+			if rng.Float64() < density {
+				b.Set(i)
+			}
+		}
+		return b
+	}
+	mf := NewMobilityFetch(nil)
+	for _, n := range []int{1, 63, 64, 65, 127, 1000, 1024} {
+		for trial := 0; trial < 60; trial++ {
+			haveLen := n
+			if trial%4 == 3 {
+				haveLen = rng.Intn(n + 1)
+			}
+			density := rng.Float64()
+			ctx := &bt.PickContext{
+				Have:     random(haveLen, density),
+				Pending:  random(n, density/4),
+				PeerHas:  random(n, rng.Float64()),
+				Avail:    make([]int, n),
+				Progress: rng.Float64(),
+			}
+			for i := range ctx.Avail {
+				ctx.Avail[i] = rng.Intn(13)
+			}
+			seed := rng.Int63()
+			ctx.Rand = rand.New(rand.NewSource(seed))
+			got := mf.PickPiece(ctx)
+			gotNext := ctx.Rand.Int63()
+			ctx.Rand = rand.New(rand.NewSource(seed))
+			want := refMF(ctx)
+			wantNext := ctx.Rand.Int63()
+			if got != want || gotNext != wantNext {
+				t.Fatalf("n=%d trial %d: pick %d (next draw %d), reference %d (next draw %d)",
+					n, trial, got, gotNext, want, wantNext)
+			}
+		}
+	}
+}
+
 func TestStabilityTracker(t *testing.T) {
 	e := sim.NewEngine()
 	tr := NewStabilityTracker(e)
